@@ -12,7 +12,13 @@ from pyspark.sql import SparkSession
 
 
 def get_spark(app_name: str) -> SparkSession:
-    """Session mirroring the test fixture's configuration."""
+    """The one session configuration for jobs, tests and benchmarks.
+
+    64 shuffle partitions and broadcast joins off are kept because the
+    recorded results in ``benchmarks/results/`` and the benchmark
+    goldens were produced with them; re-tuning them is a measured
+    performance change of its own.
+    """
     return (
         SparkSession.builder.appName(app_name)
         .config("spark.sql.shuffle.partitions", "64")

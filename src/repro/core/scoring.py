@@ -31,6 +31,7 @@ from pyspark.sql import functions as F
 from pyspark.sql.functions import pandas_udf
 
 from repro.core.distributions import FeatureDistributions
+from repro.core.features import with_distance, with_velocity, with_volume
 from repro.core.kde import EPS
 
 AOFS = ("identity", "invert")
@@ -95,6 +96,23 @@ def with_distance_logp(df: DataFrame, scale_m: float = 50.0) -> DataFrame:
     ``logp = −distance/scale``, a plain column expression.
     """
     return df.withColumn("distance_logp", -F.col("distance") / F.lit(scale_m))
+
+
+def score_observations(
+    df: DataFrame, fd: FeatureDistributions, aof: str = "identity"
+) -> DataFrame:
+    """The per-observation Fixy path every application shares: attach
+    the volume, distance and velocity features and their ``*_logp``
+    columns under ``aof``.
+
+    The result stays lazy on purpose. A cached plan may not change its
+    output partitioning, so caching it per prepared dataset keeps all
+    shuffle partitions in the cache-building stage; the KDE UDF then
+    starts one Python worker per core, and the p90 memory of a 2-scene
+    Lyft audit rose by ~45% on a 4-core machine.
+    """
+    obs = with_velocity(with_distance(with_volume(df)))
+    return with_distance_logp(with_feature_logps(obs, fd, aof=aof))
 
 
 def score_components(

@@ -1,12 +1,13 @@
 """End-to-end experiment drivers, one per table/result in §8.
 
-Every driver runs the full Fixy dataflow — build dataset, learn
-feature distributions from the training labels (offline phase,
-§5), associate observations into bundles and tracks (§4), score with
-the application's AOF (§6, §7), rank — plus the paper's baselines, and
-returns a dict of the numbers the paper reports:
+Every driver runs the full Fixy dataflow on a :func:`prepare`-d
+dataset — feature distributions learned from the training labels
+(offline phase, §5), observations associated into bundles and tracks
+(§4) — then scores with the application's AOF (§6, §7) through
+:func:`repro.core.scoring.score_observations`, ranks, runs the paper's
+baselines, and returns a dict of the numbers the paper reports:
 
-- :func:`run_missing_tracks` → Table 3 (precision@{10,5,1}, Fixy vs
+- :func:`run_missing_tracks_prepared` → Table 3 (precision@{10,5,1}, Fixy vs
   ad-hoc MA rand/conf) and the Lyft scene-level hit rate.
 - :func:`run_recall` → §8.2 recall on the audited internal scene
   (paper: 18/24 = 75%).
@@ -35,19 +36,9 @@ from repro.baselines.model_assertions import (
 )
 from repro.baselines.uncertainty import rank_by_uncertainty
 from repro.core.distributions import FeatureDistributions, learn_feature_distributions
-from repro.core.features import (
-    track_stats,
-    with_distance,
-    with_velocity,
-    with_volume,
-)
+from repro.core.features import bundle_stats, track_stats
 from repro.core.schema import ERR_NONE, SOURCE_MODEL
-from repro.core.scoring import (
-    rank_components,
-    score_components,
-    with_distance_logp,
-    with_feature_logps,
-)
+from repro.core.scoring import rank_components, score_components, score_observations
 from repro.eval.metrics import mean_scene_precision_at_k, precision_at_k
 from repro.perception.datasets import (
     CONFIGS,
@@ -80,8 +71,31 @@ def prepare(spark: SparkSession, name: str, scale: float = 1.0) -> Prepared:
 
 
 # --------------------------------------------------------------------
-# Shared: candidate truth labels from the injected-error manifest.
+# Shared: track scoring and candidate truth labels from the manifest.
 # --------------------------------------------------------------------
+
+
+def _scored_tracks(
+    tracked: DataFrame, fd: FeatureDistributions, aof: str, logp_cols: tuple[str, ...]
+) -> DataFrame:
+    """Track scores over ``logp_cols`` under ``aof``, joined with
+    :func:`track_stats`, keeping tracks that pass the *count* feature
+    (Table 2)."""
+    scored = score_observations(tracked, fd, aof=aof)
+    return (
+        score_components(scored, ["scene_id", "track_id"], logp_cols)
+        .join(track_stats(tracked), ["scene_id", "track_id"])
+        .where(F.col("track_n_obs") >= MIN_TRACK_OBS)
+    )
+
+
+def _missing_tracks(prep: Prepared, spark: SparkSession, flag: str) -> DataFrame:
+    """The manifest's injected missing tracks, ``(scene_id,
+    gt_track_id)`` plus a constant-true ``flag`` column."""
+    mt = prep.ds.manifest.missing_tracks
+    return spark.createDataFrame(
+        mt[["scene_id", "gt_track_id"]], schema="scene_id string, gt_track_id long"
+    ).withColumn(flag, F.lit(True))
 
 
 def _track_truth(prep: Prepared, spark: SparkSession) -> DataFrame:
@@ -94,32 +108,18 @@ def _track_truth(prep: Prepared, spark: SparkSession) -> DataFrame:
         F.mode("cls").alias("maj_cls"),
         F.avg((F.col("err_type") != ERR_NONE).cast("double")).alias("err_frac"),
     )
-    mt = prep.ds.manifest.missing_tracks
-    miss = spark.createDataFrame(
-        mt[["scene_id", "gt_track_id"]], schema="scene_id string, gt_track_id long"
-    ).withColumnRenamed("gt_track_id", "maj_gt")
-    return maj.join(
-        miss.withColumn("is_missing", F.lit(True)), ["scene_id", "maj_gt"], "left"
-    ).fillna({"is_missing": False})
+    miss = _missing_tracks(prep, spark, "is_missing").withColumnRenamed("gt_track_id", "maj_gt")
+    return maj.join(miss, ["scene_id", "maj_gt"], "left").fillna({"is_missing": False})
 
 
 def _dedupe_errors(pdf: pd.DataFrame, rank_col: str = "rank") -> pd.DataFrame:
     """A missing object flagged twice (track fragments) counts once: the
     first-ranked flag stays a true positive, repeats become false
     positives — matching how an auditor would score duplicate reports."""
-    pdf = pdf.sort_values(["scene_id", rank_col]).copy()
-    seen: set[tuple] = set()
-    flags = []
-    for _, row in pdf.iterrows():
-        ok = bool(row["is_error"])
-        if ok:
-            key = (row["scene_id"], row["maj_gt"])
-            if key in seen:
-                ok = False
-            else:
-                seen.add(key)
-        flags.append(ok)
-    pdf["is_error"] = flags
+    pdf = pdf.sort_values(["scene_id", rank_col])
+    pdf = pdf.assign(is_error=pdf["is_error"].astype(bool))
+    # Within the error rows only: a non-error row never demotes an error.
+    pdf["is_error"] &= ~pdf.duplicated(["scene_id", "maj_gt", "is_error"])
     return pdf
 
 
@@ -138,23 +138,14 @@ def fixy_missing_track_candidates(prep: Prepared) -> DataFrame:
     are scored by mean ``ln p`` and ranked per scene, highest first
     ("consistent predictions from the model are likely to be correct").
     """
-    obs = with_velocity(with_distance(with_volume(prep.tracked)))
-    scored = with_distance_logp(with_feature_logps(obs, prep.fd, aof="identity"))
-    tscores = score_components(
-        scored,
-        ["scene_id", "track_id"],
-        ("volume_logp", "velocity_logp", "distance_logp"),
+    tracks = _scored_tracks(
+        prep.tracked, prep.fd, "identity", ("volume_logp", "velocity_logp", "distance_logp")
     )
-    stats = track_stats(prep.tracked)
-    cand = tscores.join(stats, ["scene_id", "track_id"]).where(
-        (F.col("track_has_human") == 0) & (F.col("track_n_obs") >= MIN_TRACK_OBS)
-    )
-    return rank_components(cand)
+    return rank_components(tracks.where(F.col("track_has_human") == 0))
 
 
-def run_missing_tracks(
-    spark: SparkSession, name: str = "lyft", scale: float = 1.0,
-    ks: tuple[int, ...] = (10, 5, 1),
+def run_missing_tracks_prepared(
+    spark: SparkSession, prep: Prepared, name: str, ks: tuple[int, ...] = (10, 5, 1)
 ) -> dict:
     """Table 3 for dataset ``name``: precision@k of Fixy vs the ad-hoc
     consistency MA under random and confidence ordering.
@@ -165,13 +156,6 @@ def run_missing_tracks(
     the scene that failed audit. Also returns the §8.2 scene-level hit
     rate (fraction of scenes-with-errors whose top 10 contains a hit).
     """
-    prep = prepare(spark, name, scale)
-    return run_missing_tracks_prepared(spark, prep, name, ks)
-
-
-def run_missing_tracks_prepared(
-    spark: SparkSession, prep: Prepared, name: str, ks: tuple[int, ...] = (10, 5, 1)
-) -> dict:
     truth = _track_truth(prep, spark)
 
     fixy = fixy_missing_track_candidates(prep).join(
@@ -201,17 +185,18 @@ def run_missing_tracks_prepared(
         scenes = sorted(ma_pdf.loc[ma_pdf["is_error"], "scene_id"].unique())
 
     out: dict = {"dataset": name, "n_scenes_with_errors": len(scenes)}
+    deduped = {}
     for label, pdf in (("fixy", fixy_pdf), ("ma_rand", ma_rand), ("ma_conf", ma_conf)):
-        deduped = _dedupe_errors(pdf)
+        deduped[label] = _dedupe_errors(pdf)
         for k in ks:
-            out[f"{label}_p{k}"] = mean_scene_precision_at_k(deduped, k, scenes=scenes)
+            out[f"{label}_p{k}"] = mean_scene_precision_at_k(deduped[label], k, scenes=scenes)
     # Scene-level hit rate (§8.2: "LOA found errors in 100% of the
     # scenes with errors in the top 10 ranked errors").
-    deduped = _dedupe_errors(fixy_pdf)
+    fixy_deduped = deduped["fixy"]
     hits = sum(
         1
         for s in scenes
-        if not (g := deduped[deduped["scene_id"] == s]).empty
+        if not (g := fixy_deduped[fixy_deduped["scene_id"] == s]).empty
         and g.sort_values("rank")["is_error"].head(10).any()
     )
     out["fixy_scene_hit_rate"] = hits / len(scenes) if scenes else None
@@ -267,15 +252,11 @@ def run_missing_obs(spark: SparkSession, scale: float = 1.0, prep: Prepared | No
     tracks are ranked by likelihood, dataset-wide.
     """
     prep = prep or prepare(spark, "lyft", scale)
-    obs = with_velocity(with_volume(prep.tracked))
-    scored = with_feature_logps(obs, prep.fd, aof="identity")
     stats = track_stats(prep.tracked)
     human_tracks = stats.where(F.col("track_has_human") == 1).select(
         "scene_id", "track_id"
     )
-    bundle_has_human = prep.tracked.groupBy("scene_id", "bundle_id").agg(
-        F.max((F.col("source") != SOURCE_MODEL).cast("int")).alias("bh")
-    )
+    bundles = bundle_stats(prep.tracked).select("scene_id", "bundle_id", "bundle_has_human")
     # "Bundle with a human proposal" is interpreted at any overlap, not
     # just the 0.5 association threshold: a model box that grazes a
     # human label (a near-miss of the bundler, or a fragment beside an
@@ -284,9 +265,10 @@ def run_missing_obs(spark: SparkSession, scale: float = 1.0, prep: Prepared | No
     # anywhere near it in that frame.
     weak = overlapping_model_obs(prep.tracked, iou_threshold=0.05)
     cand_obs = (
-        scored.join(human_tracks, ["scene_id", "track_id"])
-        .join(bundle_has_human, ["scene_id", "bundle_id"])
-        .where(F.col("bh") == 0)
+        score_observations(prep.tracked, prep.fd)
+        .join(human_tracks, ["scene_id", "track_id"])
+        .join(bundles, ["scene_id", "bundle_id"])
+        .where(F.col("bundle_has_human") == 0)
         .join(weak, "obs_id", "left_anti")
     )
     bscores = score_components(
@@ -304,10 +286,7 @@ def run_missing_obs(spark: SparkSession, scale: float = 1.0, prep: Prepared | No
     # they are genuine labeling errors, but of the §8.2 missing-track
     # kind, so they are reported separately rather than counted as
     # false positives here.
-    mt = prep.ds.manifest.missing_tracks
-    miss_tracks = spark.createDataFrame(
-        mt[["scene_id", "gt_track_id"]], schema="scene_id string, gt_track_id long"
-    ).withColumn("from_missing_track", F.lit(True))
+    miss_tracks = _missing_tracks(prep, spark, "from_missing_track")
     flagged = (
         bscores.join(
             prep.tracked.where(F.col("source") == SOURCE_MODEL).select(
@@ -380,16 +359,8 @@ def run_model_errors(
         .unionByName(multibox_flags(tracked))
         .distinct()
     )
-    obs = with_velocity(with_volume(tracked))
-    scored = with_feature_logps(obs, prep.fd, aof="invert")
-    tscores = score_components(
-        scored, ["scene_id", "track_id"], ("volume_logp", "velocity_logp")
-    )
-    stats = track_stats(tracked)
-    cand = (
-        tscores.join(stats, ["scene_id", "track_id"])
-        .join(excluded.withColumn("_ex", F.lit(True)), ["scene_id", "track_id"], "left")
-        .where(F.col("_ex").isNull() & (F.col("track_n_obs") >= MIN_TRACK_OBS))
+    cand = _scored_tracks(tracked, prep.fd, "invert", ("volume_logp", "velocity_logp")).join(
+        excluded, ["scene_id", "track_id"], "left_anti"
     )
     truth = tracked.groupBy("scene_id", "track_id").agg(
         F.avg((F.col("err_type") != ERR_NONE).cast("double")).alias("err_frac"),

@@ -1,6 +1,7 @@
-"""Property test: the Spark scoring dataflow (repro.core.scoring)
-computes exactly the reference factor-graph semantics
-(repro.core.factor_graph) on randomly generated scenes.
+"""Property test: the Spark scoring dataflow (repro.core.scoring) —
+``score_observations`` then ``score_components``, the composition every
+application runs — computes exactly the reference factor-graph
+semantics (repro.core.factor_graph) on randomly generated scenes.
 
 This is the load-bearing correctness test for the reproduction: the
 scaled pipeline and the paper's formal §6 semantics must agree.
@@ -15,7 +16,7 @@ from pyspark.sql import functions as F
 from repro.core.distributions import FeatureDistributions
 from repro.core.factor_graph import Factor, FactorGraph
 from repro.core.kde import GaussianKDE
-from repro.core.scoring import score_components, with_feature_logps
+from repro.core.scoring import score_components, score_observations
 from tests.util import make_obs_df
 
 
@@ -63,10 +64,7 @@ def test_spark_scoring_equals_factor_graph(spark, dists, seed, aof):
         pd.DataFrame({"obs_id": list(track_of), "track_id": list(track_of.values())})
     )
     df = df.join(track_map, "obs_id")
-    from repro.core.features import with_velocity, with_volume
-
-    feat = with_velocity(with_volume(df))
-    scored = with_feature_logps(feat, dists, aof=aof)
+    scored = score_observations(df, dists, aof=aof)
     got = {
         r["track_id"]: r["score"]
         for r in score_components(scored, ["track_id"]).collect()

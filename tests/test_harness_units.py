@@ -43,6 +43,14 @@ class TestDedupeErrors:
         got = _dedupe_errors(pdf)
         assert not got["is_error"].any()
 
+    def test_non_error_does_not_demote_later_error(self):
+        pdf = self._pdf([
+            ("s", 1, 7, False),  # same object, ranked first, not an error
+            ("s", 2, 7, True),
+        ])
+        got = _dedupe_errors(pdf)
+        assert list(got["is_error"]) == [False, True]
+
 
 class TestTrackTruth:
     @pytest.fixture(scope="class")

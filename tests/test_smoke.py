@@ -5,7 +5,8 @@ from repro.eval import harness
 
 
 def test_missing_tracks_smoke(spark):
-    out = harness.run_missing_tracks(spark, "lyft", scale=0.05)
+    prep = harness.prepare(spark, "lyft", scale=0.05)
+    out = harness.run_missing_tracks_prepared(spark, prep, "lyft")
     assert out["dataset"] == "lyft"
     assert out["fixy_p10"] is not None
     assert 0.0 <= out["fixy_p10"] <= 1.0
